@@ -6,15 +6,13 @@
 // Usage:
 //   sts_schedule_cli <graph-file|-> [--pes N] [--scheduler <name>]
 //                    [--variant lts|rlx|work] [--format table|gantt|json|dot]
-//                    [--simulate] [--sim-engine bulk|tick] [--timings] [--cached]
+//                    [--simulate] [--sim-engine bulk|tick] [--timings]
 //   sts_schedule_cli sweep <scenario-file|-> [--threads N] [--cache-capacity N]
 //                    [--repeat K] [--queue-depth N] [--backends N] [--spawn]
 //                    [--simulate] [--sim-engine bulk|tick] [--incremental]
 //   sts_schedule_cli --list-schedulers
 //
-// `--variant X` is shorthand for `--scheduler streaming-X`. `--cached` routes
-// the query through the global ScheduleCache (useful with repeated
-// invocations in one process; here it demonstrates the serving path).
+// `--variant X` is shorthand for `--scheduler streaming-X`.
 //
 // `sweep` schedules a whole scenario list in parallel through the serving
 // stack and emits a JSON array of ScheduleResponse records on stdout.
@@ -51,13 +49,8 @@
 // materializes inside the service). `--incremental` turns on subgraph-level
 // schedule memoization in the serving stack (per-partition fragment reuse
 // across near-duplicate and delta requests); without it the sweep serves
-// whole-graph cache entries only. The pre-envelope text form is still
-// accepted per line:
-//   chain    <tasks>  <seed> <scheduler> <pes>
-//   fft      <points> <seed> <scheduler> <pes>
-//   gaussian <size>   <seed> <scheduler> <pes>
-//   cholesky <tiles>  <seed> <scheduler> <pes>
-//   file     <path>          <scheduler> <pes>
+// whole-graph cache entries only. Any other line is reported as a per-line
+// parse error.
 // `--repeat K` submits the list K times (duplicates deduplicate against the
 // service cache, demonstrating single-flight); results are emitted once.
 //
@@ -72,8 +65,6 @@
 #include <fstream>
 #include <future>
 #include <iostream>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,7 +83,6 @@
 #include "sim/dataflow_sim.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
-#include "workloads/synthetic.hpp"
 
 namespace {
 
@@ -100,7 +90,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <graph-file|-> [--pes N] [--scheduler <name>] [--variant lts|rlx|work]"
                " [--format table|gantt|json|dot] [--simulate] [--sim-engine bulk|tick]"
-               " [--timings] [--cached]\n"
+               " [--timings]\n"
                "       "
             << argv0
             << " sweep <scenario-file|-> [--threads N] [--cache-capacity N] [--repeat K]\n"
@@ -158,79 +148,28 @@ struct SweepScenario {
   std::string error;  ///< non-empty: scenario failed to parse/build
 };
 
-/// Legacy text scenario line -> request envelope. Generator lines keep their
-/// GraphRef so the scenario re-serializes compactly.
-sts::ScheduleRequest parse_text_scenario(const std::string& kind, std::istringstream& fields) {
-  sts::ScheduleRequest request;
-  if (kind == "file") {
-    std::string path;
-    if (!(fields >> path >> request.scheduler >> request.machine.num_pes)) {
-      throw std::invalid_argument("expected: file <path> <scheduler> <pes>");
-    }
-    request.label = kind + " " + path;
-    std::ifstream file(path);
-    if (!file) throw std::invalid_argument("cannot open " + path);
-    request.graph = sts::load_task_graph(file);
-    return request;
-  }
-  sts::GraphRef ref;
-  ref.generator = kind;
-  std::int64_t seed = 0;
-  if (!(fields >> ref.param >> seed >> request.scheduler >> request.machine.num_pes) ||
-      seed < 0) {
-    throw std::invalid_argument("expected: " + kind + " <param> <seed> <scheduler> <pes>");
-  }
-  ref.seed = static_cast<std::uint64_t>(seed);
-  request.label = ref.label();
-  if (ref.param < 0 || ref.param > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("parameter " + std::to_string(ref.param) + " out of range for " +
-                                kind);
-  }
-  const int p = static_cast<int>(ref.param);
-  if (kind == "chain") {
-    request.graph = sts::make_chain(p, ref.seed);
-  } else if (kind == "fft") {
-    request.graph = sts::make_fft(p, ref.seed);
-  } else if (kind == "gaussian") {
-    request.graph = sts::make_gaussian_elimination(p, ref.seed);
-  } else if (kind == "cholesky") {
-    request.graph = sts::make_cholesky(p, ref.seed);
-  } else {
-    throw std::invalid_argument("unknown scenario kind " + kind);
-  }
-  request.graph_ref = std::move(ref);
-  return request;
-}
-
 std::vector<SweepScenario> parse_scenarios(std::istream& in) {
   std::vector<SweepScenario> scenarios;
   std::string line;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind) || kind[0] == '#') continue;
+    const std::size_t first = line.find_first_not_of(" \t\r\v\f");
+    if (first == std::string::npos || line[first] == '#') continue;
 
     SweepScenario s;
     try {
-      if (kind[0] == '{') {
-        // Request-envelope JSON line.
-        s.request = sts::ScheduleRequest::from_json(line);
-        if (s.request.label.empty() && s.request.graph_ref) {
-          s.request.label = s.request.graph_ref->label();
-        }
-        if (s.request.label.empty()) {
-          s.request.label = "request " + std::to_string(line_no);
-        }
-      } else {
-        s.request = parse_text_scenario(kind, fields);
+      s.request = sts::ScheduleRequest::from_json(line);
+      if (s.request.label.empty() && s.request.graph_ref) {
+        s.request.label = s.request.graph_ref->label();
+      }
+      if (s.request.label.empty()) {
+        s.request.label = "request " + std::to_string(line_no);
       }
       s.label = s.request.label;
     } catch (const std::exception& e) {
       s.error = "line " + std::to_string(line_no) + ": " + e.what();
-      if (s.label.empty()) s.label = kind[0] == '{' ? "request " + std::to_string(line_no)
-                                                    : kind;
+      s.label = "request " + std::to_string(line_no);
     }
     scenarios.push_back(std::move(s));
   }
@@ -502,7 +441,6 @@ int main(int argc, char** argv) {
   std::string format = "table";
   bool simulate = false;
   bool timings = false;
-  bool cached = false;
   SimEngine sim_engine = SimEngine::kAuto;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -533,8 +471,6 @@ int main(int argc, char** argv) {
         simulate = true;
       } else if (arg == "--timings") {
         timings = true;
-      } else if (arg == "--cached") {
-        cached = true;
       } else if (arg == "--list-schedulers") {
         return list_schedulers();
       } else {
@@ -573,11 +509,7 @@ int main(int argc, char** argv) {
   machine.num_pes = pes;
   ScheduleResult result;
   try {
-    if (cached) {
-      result = *ScheduleCache::global().get_or_schedule(graph, scheduler, machine);
-    } else {
-      result = schedule_by_name(scheduler, graph, machine);
-    }
+    result = schedule_by_name(scheduler, graph, machine);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

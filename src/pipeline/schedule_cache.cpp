@@ -65,18 +65,21 @@ std::uint64_t fnv1a64(std::string_view text) noexcept {
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::optional<std::chrono::nanoseconds> ttl)
-    : capacity_(capacity), ttl_(ttl) {
-  if (capacity_ == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
+    : lru_(capacity), ttl_(ttl) {
+  if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
 }
 
-ScheduleCache::Lru::const_iterator ScheduleCache::find_entry_locked(std::uint64_t hash,
-                                                             std::string_view key) const {
-  const auto bucket = buckets_.find(hash);
-  if (bucket == buckets_.end()) return lru_.end();
-  for (const Lru::const_iterator it : bucket->second) {
-    if (it->key == key) return it;
+ScheduleCache::ResultPtr ScheduleCache::find_live_locked(std::uint64_t hash,
+                                                         std::string_view key) {
+  const Entry* entry = lru_.find(hash, key);
+  if (entry == nullptr) return nullptr;
+  if (is_expired_locked(*entry)) {
+    lru_.erase(hash, key);
+    ++stats_.expired;
+    return nullptr;
   }
-  return lru_.end();
+  ++stats_.hits;
+  return entry->result;
 }
 
 bool ScheduleCache::is_expired_locked(const Entry& entry) const {
@@ -86,29 +89,9 @@ bool ScheduleCache::is_expired_locked(const Entry& entry) const {
   return ttl_ && std::chrono::steady_clock::now() - entry.inserted >= *ttl_;
 }
 
-void ScheduleCache::erase_expired_locked(Lru::const_iterator it) {
-  auto& bucket = buckets_[it->hash];
-  std::erase(bucket, it);
-  if (bucket.empty()) buckets_.erase(it->hash);
-  weight_ -= it->weight;
-  ++stats_.expired;
-  lru_.erase(it);
-}
-
-void ScheduleCache::evict_to_capacity_locked() {
-  // Weight-aware LRU eviction; oversize entries are refused at admission
-  // (get_or_compute / set_capacity keep weight_ <= capacity_ reachable), so
-  // this always terminates with the bound restored.
-  while (weight_ > capacity_ && !lru_.empty()) {
-    const Lru::const_iterator victim = std::prev(lru_.cend());
-    auto& bucket = buckets_[victim->hash];
-    std::erase(bucket, victim);
-    if (bucket.empty()) buckets_.erase(victim->hash);
-    weight_ -= victim->weight;
-    ++stats_.evictions;
-    stats_.evicted_weight += victim->weight;
-    lru_.pop_back();
-  }
+void ScheduleCache::count_evicted_locked(Lru::Evicted evicted) {
+  stats_.evictions += evicted.count;
+  stats_.evicted_weight += evicted.weight;
 }
 
 ScheduleCache::ResultPtr ScheduleCache::get_or_schedule(const TaskGraph& graph,
@@ -129,14 +112,8 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   std::optional<std::promise<Flight>> promise;
   {
     const MutexLock lock(mutex_);
-    if (const Lru::const_iterator it = find_entry_locked(hash, key); it != lru_.cend()) {
-      if (!is_expired_locked(*it)) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->result;
-      }
-      erase_expired_locked(it);  // fall through: this lookup is a miss (or a race)
-    }
+    // An expired entry falls through: this lookup is a miss (or a race).
+    if (ResultPtr hit = find_live_locked(hash, key)) return hit;
     if (const auto flight = in_flight_.find(key); flight != in_flight_.end()) {
       ++stats_.races;
       pending = flight->second;
@@ -174,19 +151,12 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
     const MutexLock lock(mutex_);
     in_flight_.erase(key);
     if (weight == 0) weight = 1;
-    if (weight > capacity_) {
-      // Admission refusal: an entry heavier than the whole capacity can
-      // never fit, and admitting it would only churn out every resident.
-      // Counted with the evictions so the books still explain the miss
-      // traffic it causes.
-      ++stats_.evictions;
-      stats_.evicted_weight += weight;
-    } else {
-      weight_ += weight;
-      lru_.push_front(Entry{hash, std::move(key), weight, result, std::chrono::steady_clock::now()});
-      buckets_[hash].push_back(lru_.begin());
-      evict_to_capacity_locked();
-    }
+    const Lru::Insertion insertion =
+        lru_.insert(hash, std::move(key), Entry{result, std::chrono::steady_clock::now()}, weight);
+    // An admission refusal (an entry heavier than the whole capacity can
+    // never fit) is counted with the evictions, so the books still explain
+    // the miss traffic it causes.
+    count_evicted_locked(insertion.value ? insertion.evicted : Lru::Evicted{1, weight});
   }
   promise->set_value(Flight{result, {}, false});
   return result;
@@ -195,22 +165,14 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
 ScheduleCache::ResultPtr ScheduleCache::try_get(std::string_view key) {
   const std::uint64_t hash = fnv1a64(key);
   const MutexLock lock(mutex_);
-  const Lru::const_iterator it = find_entry_locked(hash, key);
-  if (it == lru_.cend()) return nullptr;
-  if (is_expired_locked(*it)) {
-    erase_expired_locked(it);
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it);
-  return it->result;
+  return find_live_locked(hash, key);
 }
 
 bool ScheduleCache::contains(std::string_view key) const {
   const std::uint64_t hash = fnv1a64(key);
   const MutexLock lock(mutex_);
-  const Lru::const_iterator it = find_entry_locked(hash, key);
-  return it != lru_.cend() && !is_expired_locked(*it);
+  const Entry* entry = lru_.peek(hash, key);
+  return entry != nullptr && !is_expired_locked(*entry);
 }
 
 void ScheduleCache::set_ttl(std::optional<std::chrono::nanoseconds> ttl) {
@@ -231,10 +193,13 @@ ScheduleCache::Stats ScheduleCache::stats() const {
     // next mutating probe of its key, yet contains()/try_get already read it
     // as absent. Count such residents here so stats().expired agrees with the
     // lookup behavior at all times, not just after the drop.
+    // (The visitor reads locals only: TSA checks a lambda body as a separate
+    // lock-free function.)
     const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
-    for (const Entry& entry : lru_) {
-      if (now - entry.inserted >= *ttl_) ++out.expired;
-    }
+    const std::chrono::nanoseconds ttl = *ttl_;
+    lru_.for_each([&out, now, ttl](const Entry& entry) {
+      if (now - entry.inserted >= ttl) ++out.expired;
+    });
   }
   return out;
 }
@@ -246,32 +211,24 @@ std::size_t ScheduleCache::size() const {
 
 std::size_t ScheduleCache::total_weight() const {
   const MutexLock lock(mutex_);
-  return weight_;
+  return lru_.weight();
 }
 
 std::size_t ScheduleCache::capacity() const {
   const MutexLock lock(mutex_);
-  return capacity_;
+  return lru_.capacity();
 }
 
 void ScheduleCache::set_capacity(std::size_t capacity) {
   if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
   const MutexLock lock(mutex_);
-  capacity_ = capacity;
-  evict_to_capacity_locked();
+  count_evicted_locked(lru_.set_capacity(capacity));
 }
 
 void ScheduleCache::clear() {
   const MutexLock lock(mutex_);
   lru_.clear();
-  buckets_.clear();
-  weight_ = 0;
   stats_ = Stats{};
-}
-
-ScheduleCache& ScheduleCache::global() {
-  static ScheduleCache* cache = new ScheduleCache();
-  return *cache;
 }
 
 }  // namespace sts

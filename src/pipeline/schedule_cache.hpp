@@ -5,15 +5,14 @@
 #include <functional>
 #include <optional>
 #include <future>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "pipeline/scheduler.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -158,40 +157,29 @@ class ScheduleCache {
   /// are unaffected and will insert their results afterwards.
   void clear() EXCLUDES(mutex_);
 
-  /// The process-wide cache used by cached convenience entry points.
-  [[nodiscard]] static ScheduleCache& global();
-
  private:
   struct Entry {
-    std::uint64_t hash = 0;
-    std::string key;  ///< full canonical key, checked on every probe
-    std::size_t weight = 1;
     ResultPtr result;
     /// Insertion time, for ttl expiry. Always recorded (one steady_clock
     /// read on the miss path, where scheduling dominates anyway) so a ttl
     /// configured later still applies to resident entries.
     std::chrono::steady_clock::time_point inserted;
   };
-  using Lru = std::list<Entry>;
+  using Lru = WeightedLru<std::string, Entry>;
 
-  [[nodiscard]] Lru::const_iterator find_entry_locked(std::uint64_t hash,
-                                                      std::string_view key) const
+  /// The unexpired result under `key`, bumped to most recently used, or
+  /// nullptr; an expired entry is dropped and counted in `Stats::expired`.
+  [[nodiscard]] ResultPtr find_live_locked(std::uint64_t hash, std::string_view key)
       REQUIRES(mutex_);
   [[nodiscard]] bool is_expired_locked(const Entry& entry) const REQUIRES(mutex_);
-  void erase_expired_locked(Lru::const_iterator it) REQUIRES(mutex_);
-  void evict_to_capacity_locked() REQUIRES(mutex_);
+  void count_evicted_locked(Lru::Evicted evicted) REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  Lru lru_ GUARDED_BY(mutex_);  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::vector<Lru::const_iterator>> buckets_
-      GUARDED_BY(mutex_);
+  Lru lru_ GUARDED_BY(mutex_);
   std::unordered_map<std::string, std::shared_future<Flight>> in_flight_
       GUARDED_BY(mutex_);
-  std::size_t capacity_ GUARDED_BY(mutex_);
   /// nullopt = never expire.
   std::optional<std::chrono::nanoseconds> ttl_ GUARDED_BY(mutex_);
-  /// Σ entry weight, <= capacity_ outside evict.
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
   Stats stats_ GUARDED_BY(mutex_);
 };
 

@@ -18,7 +18,7 @@ ScheduleService::ScheduleService(ServiceConfig config)
     : cache_(config.cache_capacity, config.cache_ttl),
       queue_depth_(config.queue_depth),
       intra_threads_(config.intra_threads),
-      base_registry_capacity_(config.base_registry_capacity) {
+      bases_(config.base_registry_capacity) {
   if (intra_threads_ < 0) {
     throw std::invalid_argument("ScheduleService: intra_threads must be >= 0 (0 = auto)");
   }
@@ -264,27 +264,19 @@ void ScheduleService::worker_loop(Shard& shard) {
 }
 
 void ScheduleService::remember_base(const std::string& digest, const TaskGraph& graph) {
-  if (base_registry_capacity_ == 0) return;
+  const std::uint64_t hash = fnv1a64(digest);
   const MutexLock lock(bases_mutex_);
-  if (const auto it = bases_.find(digest); it != bases_.end()) {
-    // Known digest: just refresh recency, sparing the graph copy.
-    bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-    return;
-  }
-  bases_lru_.emplace_front(digest, std::make_shared<const TaskGraph>(graph));
-  bases_.emplace(digest, bases_lru_.begin());
-  while (bases_.size() > base_registry_capacity_) {
-    bases_.erase(bases_lru_.back().first);
-    bases_lru_.pop_back();
-  }
+  if (bases_.capacity() == 0) return;
+  // Known digest: find() just refreshes its recency, sparing the graph copy.
+  if (bases_.find(hash, digest) != nullptr) return;
+  bases_.insert(hash, digest, std::make_shared<const TaskGraph>(graph), 1);
 }
 
 std::shared_ptr<const TaskGraph> ScheduleService::find_base(const std::string& digest) {
+  const std::uint64_t hash = fnv1a64(digest);
   const MutexLock lock(bases_mutex_);
-  const auto it = bases_.find(digest);
-  if (it == bases_.end()) return nullptr;
-  bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-  return it->second->second;
+  const auto* base = bases_.find(hash, digest);
+  return base ? *base : nullptr;
 }
 
 void ScheduleService::finish_one(bool failed) {

@@ -726,5 +726,82 @@ TEST(DeltaRequest, SubgraphMemoizationCanBeDisabled) {
   ASSERT_TRUE(response.ok()) << response.error;
 }
 
+// The base registry is an LRU of `base_registry_capacity` entries. Bases
+// below differ only in their PE count (so in their digest); every delta
+// edits the same graph on 4 PEs, so all of them materialize to one request
+// digest, which is itself remembered and takes one slot.
+std::string submit_base(ScheduleService& service, std::int64_t pes) {
+  ScheduleRequest base = base_request();
+  base.machine.num_pes = pes;
+  const std::string digest = base.key_digest();
+  EXPECT_TRUE(service.schedule(std::move(base)).ok());
+  return digest;
+}
+
+ScheduleResponse submit_delta(ScheduleService& service, const std::string& base_key) {
+  ScheduleRequest delta;
+  delta.base_key = base_key;
+  delta.edits = retune_exit(base_request().graph, 2);
+  delta.scheduler = "streaming-rlx";
+  delta.machine.num_pes = 4;
+  return service.schedule(std::move(delta));
+}
+
+ServiceConfig registry_config(std::size_t capacity) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.base_registry_capacity = capacity;
+  return config;
+}
+
+TEST(DeltaRequest, BaseRegistryAgesOutTheLeastRecentlyUsedBase) {
+  ScheduleService service(registry_config(2));
+  const std::string a = submit_base(service, 4);
+  const std::string b = submit_base(service, 5);
+  const std::string c = submit_base(service, 6);  // registry: c, b — a aged out
+
+  const ScheduleResponse stale = submit_delta(service, a);
+  EXPECT_FALSE(stale.ok());
+  EXPECT_NE(stale.error.find("unknown base_key"), std::string::npos) << stale.error;
+
+  // Resolving c, then remembering the materialized delta, pushes b out.
+  const ScheduleResponse fresh = submit_delta(service, c);
+  EXPECT_TRUE(fresh.ok()) << fresh.error;
+  const ScheduleResponse displaced = submit_delta(service, b);
+  EXPECT_FALSE(displaced.ok());
+  EXPECT_NE(displaced.error.find("unknown base_key"), std::string::npos) << displaced.error;
+}
+
+TEST(DeltaRequest, ResolvingABaseRefreshesItsRecency) {
+  ScheduleService service(registry_config(2));
+  const std::string a = submit_base(service, 4);
+  const std::string b = submit_base(service, 5);  // registry: b, a
+
+  // Resolving a bumps it past b, so remembering the materialized delta
+  // evicts b, not a. Without the bump a would be the LRU victim.
+  ASSERT_TRUE(submit_delta(service, a).ok());
+  const ScheduleResponse again = submit_delta(service, a);
+  EXPECT_TRUE(again.ok()) << again.error;
+  const ScheduleResponse evicted = submit_delta(service, b);
+  EXPECT_FALSE(evicted.ok());
+  EXPECT_NE(evicted.error.find("unknown base_key"), std::string::npos) << evicted.error;
+}
+
+TEST(DeltaRequest, ZeroCapacityDisablesTheBaseRegistry) {
+  ScheduleService service(registry_config(0));
+  const std::string a = submit_base(service, 4);
+  const ScheduleResponse delta = submit_delta(service, a);
+  EXPECT_FALSE(delta.ok());
+  EXPECT_NE(delta.error.find("unknown base_key"), std::string::npos) << delta.error;
+
+  // Plain requests still serve, from the result cache as before.
+  EXPECT_TRUE(service.schedule(base_request()).ok());
+  service.wait_idle();
+  const ScheduleService::Stats stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
+}
+
 }  // namespace
 }  // namespace sts

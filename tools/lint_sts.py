@@ -28,6 +28,10 @@ violation. Enforced rules:
     aggregate), and the parser must not read keys the renderer never writes.
     Gauges (workers, cache_weight, ...) are point-in-time values read through
     other paths and are allowlisted.
+
+ 6. LRU bookkeeping is written once: `std::list` and `.splice(` appear in
+    src/ only in support/weighted_lru.hpp. Every cache builds on that
+    WeightedLru core instead of hand-rolling its own recency list.
 """
 
 from __future__ import annotations
@@ -218,6 +222,22 @@ def check_stats_wire_round_trip(errors: list[str]) -> None:
         )
 
 
+LRU_CORE = SRC / "support" / "weighted_lru.hpp"
+
+
+def check_single_lru_core(errors: list[str]) -> None:
+    for path in sorted(SRC.rglob("*.[ch]pp")):
+        if path == LRU_CORE:
+            continue
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\bstd::list\b|\.splice\(", re.sub(r"//.*", "", line)):
+                fail(
+                    errors,
+                    f"{path.relative_to(REPO)}:{i}: std::list/.splice( outside "
+                    f"{LRU_CORE.relative_to(REPO)} — build the cache on WeightedLru",
+                )
+
+
 def main() -> int:
     errors: list[str] = []
     check_intra_threads_out_of_keys(errors)
@@ -225,6 +245,7 @@ def main() -> int:
     check_sim_internal_private(errors)
     check_bench_reports(errors)
     check_stats_wire_round_trip(errors)
+    check_single_lru_core(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
